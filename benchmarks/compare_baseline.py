@@ -17,6 +17,12 @@ The baseline is always ``BENCH_perf.json``-shaped (the committed repo
 baseline).  A key regresses when ``current > tolerance * baseline``;
 missing scales or keys are hard errors, not silent passes.
 
+The behaviour fingerprints (``events`` and ``flows_started``: counts of
+the simulated workload, independent of the host) are gated *exactly*
+whenever both the baseline and the current run carry them, so a change
+that alters what the simulator does fails the gate even when it is
+fast.
+
 ``--scale`` is repeatable: one invocation gates every listed scale
 against the same current source (useful after a full
 ``benchmarks/test_scale_perf.py`` regeneration, where the fresh
@@ -43,6 +49,9 @@ from typing import Dict, List, Sequence, Union
 
 Number = Union[int, float]
 
+# Host-independent counts of the simulated workload; they must match.
+FINGERPRINT_KEYS = ("events", "flows_started")
+
 
 class CompareError(Exception):
     """Unusable inputs: missing files, scales, or metric keys."""
@@ -58,12 +67,13 @@ class MissingKeyError(CompareError):
 
 @dataclass(frozen=True)
 class Comparison:
-    """One gated key's verdict."""
+    """One gated key's verdict (``exact``: a fingerprint that must match)."""
 
     key: str
     baseline: float
     current: float
     tolerance: float
+    exact: bool = False
 
     @property
     def limit(self) -> float:
@@ -71,9 +81,15 @@ class Comparison:
 
     @property
     def regressed(self) -> bool:
+        if self.exact:
+            return self.current != self.baseline
         return self.current > self.limit
 
     def describe(self, scale: int) -> str:
+        if self.exact:
+            verdict = "DRIFTED" if self.regressed else "ok"
+            return (f"{scale}-node {self.key}: baseline {self.baseline:g}, "
+                    f"this run {self.current:g} (must match) [{verdict}]")
         verdict = "REGRESSED" if self.regressed else "ok"
         return (f"{scale}-node {self.key}: baseline {self.baseline}s, "
                 f"this run {self.current}s "
@@ -155,6 +171,10 @@ def load_scale_metrics(path: Union[str, Path],
     return _scale_metrics_from_bench(_load_json(path), scale, str(path))
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def compare_metrics(
     baseline: Dict[str, Number],
     current: Dict[str, Number],
@@ -174,8 +194,7 @@ def compare_metrics(
                     f"{side} metrics have no key {key!r}; "
                     f"available: {sorted(metrics)}"
                 )
-            if not isinstance(metrics[key], (int, float)) \
-                    or isinstance(metrics[key], bool):
+            if not _is_number(metrics[key]):
                 raise CompareError(
                     f"{side} {key!r} is not numeric: {metrics[key]!r}"
                 )
@@ -184,6 +203,19 @@ def compare_metrics(
             current=float(current[key]), tolerance=tolerance,
         ))
     return results
+
+
+def compare_fingerprints(
+    baseline: Dict[str, Number],
+    current: Dict[str, Number],
+) -> List[Comparison]:
+    """Exact checks for every fingerprint key both sides carry."""
+    return [
+        Comparison(key=key, baseline=float(baseline[key]),
+                   current=float(current[key]), tolerance=1.0, exact=True)
+        for key in FINGERPRINT_KEYS
+        if _is_number(baseline.get(key)) and _is_number(current.get(key))
+    ]
 
 
 def main(argv: Sequence[str] = None) -> int:
@@ -215,6 +247,7 @@ def main(argv: Sequence[str] = None) -> int:
             current = load_scale_metrics(args.current, scale)
             comparisons = compare_metrics(baseline, current, keys,
                                           args.tolerance)
+            comparisons += compare_fingerprints(baseline, current)
         except CompareError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -222,7 +255,7 @@ def main(argv: Sequence[str] = None) -> int:
             print(comparison.describe(scale))
             regressed = regressed or comparison.regressed
     if regressed:
-        print(f"perf regression vs {args.baseline} "
+        print(f"perf regression or fingerprint drift vs {args.baseline} "
               f"(tolerance {args.tolerance:g}x)", file=sys.stderr)
         return 1
     return 0

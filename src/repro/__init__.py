@@ -41,10 +41,6 @@ _FACADE = {
     "TraceConfig": "repro.core.config",
     "LoadConfig": "repro.core.config",
     "RateModelConfig": "repro.core.config",
-    "ShardConfig": "repro.core.config",
-    # Sharded parallel kernel (per-pod conservative time sync).
-    "ShardCoordinator": "repro.sim.shard",
-    "ShardProgram": "repro.sim.shard",
     # Session-level load + SLO accounting (repro.load).
     "LoadEngine": "repro.load",
     "LoadReport": "repro.load",

@@ -86,26 +86,6 @@ def _worker_main(payload: Dict[str, Any]) -> None:
     os.replace(partial, result_path)
 
 
-def run_weight(run: RunSpec) -> int:
-    """Worker slots one run occupies.
-
-    A plain run is one process.  A sharded-kernel run (a ``shards``
-    param > 1, e.g. the ``scale_perf_sharded`` scenario) forks its own
-    kernel workers -- one per pod shard plus the control shard -- so it
-    occupies that many slots of the campaign's ``workers`` budget.
-    Without this, a grid of sharded runs would fan out ``workers x
-    (shards + 1)`` processes and thrash the machine.  Inline shard runs
-    (``processes: false``) stay single-process and weigh 1.
-    """
-    try:
-        shards = int(run.params.get("shards", 1))
-    except (TypeError, ValueError):
-        return 1
-    if shards <= 1 or run.params.get("processes") is False:
-        return 1
-    return shards + 1          # pod shards + the control shard
-
-
 @dataclass
 class _ActiveRun:
     run: RunSpec
@@ -115,10 +95,6 @@ class _ActiveRun:
     result_path: Path
     artifacts_dir: Path
     first_started: float
-
-    @property
-    def weight(self) -> int:
-        return run_weight(self.run)
 
 
 @dataclass
@@ -213,14 +189,9 @@ class CampaignRunner:
             "artifacts_dir": str(artifacts_dir),
             "result_path": str(result_path),
         }
-        # Sharded runs fork their own shard workers, and daemonic
-        # processes may not have children -- so those campaign workers
-        # run non-daemon.  Their shard workers hold a pipe to the
-        # campaign worker and exit on EOF, so a terminate() on timeout
-        # still tears the whole tree down.
         process = self._ctx.Process(
             target=_worker_main, args=(payload,),
-            name=f"campaign-{run.run_id}", daemon=run_weight(run) == 1,
+            name=f"campaign-{run.run_id}", daemon=True,
         )
         process.start()
         now = time.monotonic()
@@ -284,13 +255,7 @@ class CampaignRunner:
         done = 0
         try:
             while pending or active:
-                # Weighted admission: a run's weight is how many worker
-                # processes it will fork (see run_weight); an over-weight
-                # run still launches alone rather than deadlocking.
-                while pending:
-                    used = sum(entry.weight for entry in active)
-                    if active and used + run_weight(pending[-1]) > self.workers:
-                        break
+                while pending and len(active) < self.workers:
                     active.append(self._launch(pending.pop(), attempt=1))
                 still_active: List[_ActiveRun] = []
                 for entry in active:

@@ -19,11 +19,6 @@ Built-ins:
   ``benchmarks/test_scale_perf.py``); CI's ``perf-gate`` job runs
   ``specs/perf_224.yaml`` and gates it with
   ``benchmarks/compare_baseline.py``.
-* ``scale_perf_sharded`` -- the same fat-tree/workload run on the
-  sharded parallel kernel (``repro.sim.shard``): per-pod shard
-  simulators under conservative time sync, the control plane as its
-  own shard.  ``specs/shard_smoke.yaml`` sweeps it; CI's
-  ``shard-smoke`` job runs that spec (non-blocking).
 * ``flashcrowd_slo`` -- a million-user flash crowd through the
   session-level load engine (``repro.load``), static ECMP vs the SDN
   TE arm, reported as p99/p999 latency and SLO error-budget burn.
@@ -349,60 +344,6 @@ def scale_perf(ctx: RunContext) -> Dict[str, Any]:
         rate_model=str(ctx.param("rate_model", "maxmin")),
         protocol=str(ctx.param("protocol", "reno")),
         consolidate=bool(ctx.param("consolidate", True)),
-    )
-
-
-def measure_scale_sharded(
-    nodes: int,
-    shards: int,
-    seed: Optional[int] = None,
-    pairs: Optional[int] = None,
-    processes: bool = True,
-    trace: bool = False,
-    profile_dir: Optional[str] = None,
-) -> Dict[str, Any]:
-    """The sharded-kernel counterpart of :func:`measure_scale`.
-
-    Same fat-tree and the same ON/OFF pair workload, but run as per-pod
-    shard kernels under conservative time sync (``repro.sim.shard``)
-    with the control plane as shard 0.  Not byte-comparable to
-    :func:`measure_scale` (see ``docs/performance.md``); the shared keys
-    (``events``, ``wall_s``, ``flows_started``...) make the two
-    regimes comparable side by side in a result store.
-    """
-    from repro.core.config import ShardConfig
-    from repro.netsim.sharded import ShardedWorkload, run_sharded_fat_tree
-
-    if nodes not in SCALES:
-        raise CampaignError(
-            f"unknown scale {nodes}; known: {sorted(SCALES)}"
-        )
-    _, _, k = SCALES[nodes]
-    if shards > k:
-        raise CampaignError(f"shards={shards} exceeds pod count k={k}")
-    pair_count = PAIRS[nodes] if pairs is None else int(pairs)
-    workload = ShardedWorkload(
-        warmup_s=WARMUP_S, measure_s=SETTLE_S + MEASURE_S,
-    )
-    return run_sharded_fat_tree(
-        k=k, hosts=nodes, shards=shards, pairs=pair_count,
-        seed=nodes if seed is None else seed,
-        workload=workload,
-        shard_config=ShardConfig(shards=shards, processes=processes),
-        trace=trace,
-        profile_dir=profile_dir,
-    )
-
-
-@register_scenario("scale_perf_sharded")
-def scale_perf_sharded(ctx: RunContext) -> Dict[str, Any]:
-    """Campaign wrapper over :func:`measure_scale_sharded`."""
-    return measure_scale_sharded(
-        int(ctx.param("nodes", 224)),
-        shards=int(ctx.param("shards", 2)),
-        seed=ctx.seed,
-        pairs=ctx.param("pairs"),
-        processes=bool(ctx.param("processes", True)),
     )
 
 

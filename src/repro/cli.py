@@ -6,8 +6,7 @@ Commands:
 * ``table1``     -- regenerate the paper's Table I.
 * ``dashboard``  -- boot a cloud, spawn demo containers, print the Fig. 4
   control panel.
-* ``scale``      -- the scale throughput benchmark, unsharded or on the
-  sharded per-pod parallel kernel (``--shards``).
+* ``scale``      -- the fat-tree scale throughput benchmark.
 * ``storm``      -- run the inter-rack elephant storm under a routing mode
   and report completion time (experiment C3's workload).
 * ``load``       -- drive session-level user load (optionally a flash
@@ -230,24 +229,15 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
-    """The scale benchmark, unsharded or on the sharded kernel.
+    """The scale benchmark: :func:`~repro.campaign.scenarios.measure_scale`.
 
-    ``--shards 1`` (the default) runs the exact single-kernel
-    :func:`~repro.campaign.scenarios.measure_scale` path --
-    byte-identical to every previous release.  ``--shards N`` runs
-    per-pod shard kernels under conservative time sync with the control
-    plane as shard 0.  ``--profile`` works for both: with shards, each
-    worker process profiles itself and the dumps are merged with the
-    parent's coordinator profile into one pstats file.
+    ``--profile`` wraps the whole measurement (build, boot, spawns and
+    the measured window) in one cProfile session and writes one pstats
+    dump, also when the run fails.
     """
     import cProfile
-    import tempfile
 
-    from repro.campaign.scenarios import (
-        SCALES,
-        measure_scale,
-        measure_scale_sharded,
-    )
+    from repro.campaign.scenarios import SCALES, measure_scale
 
     if args.nodes not in SCALES:
         print(f"unknown scale {args.nodes}; known: {sorted(SCALES)}",
@@ -255,54 +245,19 @@ def cmd_scale(args: argparse.Namespace) -> int:
         return 2
 
     profile_out = _resolve_profile_out(args)
-    sharded = args.shards > 1
-    profile_dir = None
-    parent_profiler = None
-    if profile_out is not None:
-        parent_profiler = cProfile.Profile()
-        if sharded:
-            profile_dir = tempfile.mkdtemp(prefix="repro-shard-profile-")
-
+    profiler = cProfile.Profile() if profile_out is not None else None
+    if profiler is not None:
+        profiler.enable()
     try:
-        if parent_profiler is not None:
-            parent_profiler.enable()
-        if sharded:
-            result = measure_scale_sharded(
-                args.nodes, shards=args.shards, seed=args.seed,
-                pairs=args.pairs, processes=not args.inline,
-                trace=args.trace_out is not None,
-                profile_dir=profile_dir,
-            )
-        else:
-            result = measure_scale(args.nodes, incremental=True,
-                                   seed=args.seed, pairs=args.pairs)
+        result = measure_scale(args.nodes, incremental=True,
+                               seed=args.seed, pairs=args.pairs)
     finally:
-        if parent_profiler is not None:
-            parent_profiler.disable()
-
-    spans = result.pop("spans", None)
-    if args.trace_out is not None and spans is not None:
-        from repro.trace.export import write_span_dicts_jsonl
-
-        path = write_span_dicts_jsonl(spans, args.trace_out)
-        print(f"trace written to {path}", file=sys.stderr)
-
-    shard_paths = result.pop("profile_paths", {})
-    if profile_out is not None:
-        from repro.sim.shard import merge_profiles
-
-        parent_dump = profile_out + ".parent"
-        parent_profiler.dump_stats(parent_dump)
-        merged = merge_profiles(
-            [parent_dump] + [shard_paths[sid] for sid in sorted(shard_paths)],
-            profile_out,
-        )
-        import os
-
-        os.unlink(parent_dump)
-        print(f"profile written to {merged} (parent + "
-              f"{len(shard_paths)} shard workers merged; inspect with: "
-              f"python -m pstats {merged})", file=sys.stderr)
+        if profiler is not None:
+            profiler.disable()
+            profiler.dump_stats(profile_out)
+            print(f"profile written to {profile_out} "
+                  f"(inspect with: python -m pstats {profile_out})",
+                  file=sys.stderr)
 
     rows = [[key, result[key]] for key in sorted(result)
             if not isinstance(result[key], dict)]
@@ -446,30 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     scale = commands.add_parser(
         "scale",
-        help="scale benchmark, optionally on the sharded parallel kernel "
-             "(docs/performance.md)",
+        help="fat-tree scale throughput benchmark (docs/performance.md)",
     )
     scale.add_argument("--nodes", type=int, default=224,
                        help="cloud size; must be a known benchmark scale")
-    scale.add_argument("--shards", type=int, default=1,
-                       help="pod shard count (1 = the exact unsharded "
-                            "single-kernel path; N>1 = per-pod kernels "
-                            "under conservative time sync)")
     scale.add_argument("--pairs", type=int, default=None,
                        help="chatty pair count (default: per-scale)")
     scale.add_argument("--seed", type=int, default=None,
                        help="RNG master seed (default: the node count)")
-    scale.add_argument("--inline", action="store_true",
-                       help="run shard kernels in-process instead of "
-                            "forked workers (debugging)")
-    scale.add_argument("--trace-out", type=str, default=None, metavar="PATH",
-                       help="write the (shard-tagged, merged) span trace "
-                            "to PATH as JSONL; sharded runs only")
     scale.add_argument("--profile", nargs="?", const="", default=None,
                        metavar="PATH",
-                       help="profile with cProfile; per-shard worker "
-                            "profiles are merged with the parent's into "
-                            "one pstats dump at PATH")
+                       help="profile the run with cProfile and write a "
+                            "pstats dump to PATH (default: "
+                            "repro-profile.pstats)")
     scale.set_defaults(handler=cmd_scale)
 
     storm = commands.add_parser(

@@ -14,8 +14,6 @@ into sub-configs:
 * :class:`LoadConfig` (``load=``) -- session-level load engine defaults.
 * :class:`RateModelConfig` (``rate_model=``) -- fabric rate assignment
   (instantaneous max-min vs per-flow congestion control).
-* :class:`ShardConfig` (``shard=``) -- parallel sharded kernel
-  (per-pod worker processes under conservative time sync).
 
 The old flat knobs (``max_events=``, ``tracing=``, ``self_healing=``,
 ``heartbeat_interval_s=``, ...) are still accepted with a
@@ -349,50 +347,6 @@ class RateModelConfig:
         )
 
 
-@dataclass(frozen=True, kw_only=True)
-class ShardConfig:
-    """Parallel (sharded) kernel settings (see ``docs/performance.md``).
-
-    ``shards=1`` (the default) runs the single-kernel path, byte-identical
-    to every release since the kernel existed.  ``shards=N`` partitions a
-    fat-tree per pod into N worker processes plus a control-plane shard,
-    advanced under conservative time synchronisation: each round every
-    shard runs up to ``min(next pending event across shards) + lookahead``
-    where the lookahead is ``boundary_delay_s``, the modelled latency of a
-    cross-pod (core-link) hop.  The physical core-link latency (2 x 50 us)
-    would force a synchronisation barrier roughly every event, so the
-    boundary delay is deliberately coarser -- cross-pod effects are seen
-    ``boundary_delay_s`` late, which is the documented model error of the
-    sharded path.  Sharded runs are deterministic run-to-run (same seed,
-    any ``PYTHONHASHSEED``, any OS scheduling) but are *not* byte-identical
-    to the unsharded kernel.
-
-    ``channel_capacity`` bounds each cross-shard channel: a shard that has
-    more than this many undelivered outbound messages pauses its window
-    early (backpressure) instead of growing the coordinator's buffers
-    without limit.
-    """
-
-    shards: int = 1
-    boundary_delay_s: float = 0.05
-    channel_capacity: int = 4096
-    processes: bool = True
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}"
-            )
-        if self.boundary_delay_s <= 0:
-            raise ConfigurationError(
-                f"boundary_delay_s must be > 0, got {self.boundary_delay_s}"
-            )
-        if self.channel_capacity < 1:
-            raise ConfigurationError(
-                f"channel_capacity must be >= 1, got {self.channel_capacity}"
-            )
-
-
 # Deprecated flat knob -> (sub-config attribute on PiCloudConfig, field name).
 _DEPRECATED_KNOBS = {
     "max_events": ("budget", "max_events"),
@@ -484,7 +438,6 @@ class PiCloudConfig:
     trace: TraceConfig = field(default_factory=TraceConfig)
     load: LoadConfig = field(default_factory=LoadConfig)
     rate_model: RateModelConfig = field(default_factory=RateModelConfig)
-    shard: ShardConfig = field(default_factory=ShardConfig)
 
     # -- reproducibility --------------------------------------------------------------
     seed: int = 0
@@ -529,18 +482,6 @@ class PiCloudConfig:
                 raise PiCloudError(
                     f"fat-tree k={self.fat_tree_k} holds {capacity} hosts; "
                     f"config asks for {self.node_count}"
-                )
-        if self.shard.shards > 1:
-            if self.topology != "fat-tree":
-                raise PiCloudError(
-                    "shards > 1 requires topology='fat-tree' "
-                    "(the partitioner assigns whole pods to shards)"
-                )
-            if self.shard.shards > self.fat_tree_k:
-                raise PiCloudError(
-                    f"shards={self.shard.shards} exceeds the "
-                    f"{self.fat_tree_k} pods of a k={self.fat_tree_k} "
-                    "fat-tree; each shard needs at least one pod"
                 )
 
     def _apply_deprecated_knobs(self) -> None:

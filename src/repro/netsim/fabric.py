@@ -102,7 +102,6 @@ class FlowTransfer:
         self.span = NULL_SPAN
 
         self.path: List[str] = []
-        self.preset_path: Optional[List[str]] = None
         self.directions: List[LinkDirection] = []
         self.remaining = self.size
         self.rate = 0.0
@@ -335,7 +334,6 @@ class Network:
         rate_cap: Optional[float] = None,
         tag: str = "",
         parent=None,
-        path: Optional[List[str]] = None,
     ) -> FlowTransfer:
         """Start a transfer of ``nbytes`` from ``src`` to ``dst``.
 
@@ -343,23 +341,14 @@ class Network:
         ``done`` signal for completion.  A zero-byte transfer still pays
         the path's propagation latency (it models a control message).
         ``parent`` (a span or span context) attributes the flow to its
-        causal trace.  ``path`` pre-resolves routing: the flow takes
-        exactly these hops instead of asking the path service -- the
-        sharded kernel uses this to run one segment of a cross-shard
-        flow whose end-to-end route was resolved elsewhere, so the
-        endpoints may be switches.
+        causal trace.
         """
         if nbytes < 0:
             raise NetworkError(f"cannot transfer {nbytes} bytes")
         for node in (src, dst):
             if node not in self.topology.graph:
                 raise NetworkError(f"unknown endpoint {node!r}")
-        if path is not None and (not path or path[0] != src or path[-1] != dst):
-            raise NetworkError(
-                f"explicit path must join {src!r} to {dst!r}, got {path}"
-            )
         flow = FlowTransfer(self, src, dst, nbytes, flow_key, rate_cap, tag)
-        flow.preset_path = list(path) if path is not None else None
         flow.span = trace.start_span(
             self.sim, "net.flow", parent=parent, kind="net",
             attributes={"src": src, "dst": dst, "bytes": nbytes, "tag": tag},
@@ -368,15 +357,11 @@ class Network:
         return flow
 
     def _run_flow(self, flow: FlowTransfer):
-        if flow.preset_path is not None:
-            path = flow.preset_path
-        else:
-            try:
-                path = yield self.path_service.resolve(
-                    flow.src, flow.dst, flow.flow_key)
-            except NoRouteError as exc:
-                self._fail_flow(flow, exc)
-                return
+        try:
+            path = yield self.path_service.resolve(flow.src, flow.dst, flow.flow_key)
+        except NoRouteError as exc:
+            self._fail_flow(flow, exc)
+            return
         if self._partition is not None and self._partition_blocks(path):
             self._fail_flow(flow, NoRouteError(
                 f"network partition blocks {flow.src}->{flow.dst}"

@@ -7,12 +7,13 @@ timestamps and explicit causal parentage -- so the paper's cross-layer
 ripple effects ("consolidation caused THIS congestion") become provable
 queries instead of eyeballed telemetry correlations.
 
-Turn it on through config (``PiCloudConfig(tracing=True)``), the CLI
+Turn it on through config
+(``PiCloudConfig(trace=TraceConfig(enabled=True))``), the CLI
 (``--trace-out trace.json``), or directly::
 
-    from repro.trace import Tracer
+    from repro import PiCloud, PiCloudConfig, TraceConfig
 
-    cloud = PiCloud(PiCloudConfig.small(tracing=True))
+    cloud = PiCloud(PiCloudConfig.small(trace=TraceConfig(enabled=True)))
     cloud.boot()
     ...
     spans = cloud.tracer.find_spans(kind="net", name_prefix="flow")

@@ -96,15 +96,3 @@ def write_jsonl(tracer: Tracer, path: str) -> str:
             handle.write(json.dumps(record, sort_keys=True))
             handle.write("\n")
     return path
-
-
-def write_span_dicts_jsonl(records: List[Dict[str, Any]], path: str) -> str:
-    """JSONL export of already-dict spans (the sharded kernel's merged,
-    shard-tagged trace -- see :meth:`repro.sim.shard.ShardCoordinator.
-    write_merged_trace`)."""
-    _ensure_parent_dir(path)
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
-    return path

@@ -48,7 +48,6 @@ EXPECTED_SURFACE = sorted([
     "ResultStore", "RunRecord",
     "run_campaign", "render_dashboard",
     "RateModelConfig",
-    "ShardConfig", "ShardCoordinator", "ShardProgram",
     "LoadConfig", "LoadError", "LoadEngine", "LoadReport",
     "Service", "ServiceProfile", "SloObjective", "SloTracker",
     "ArrivalProcess", "PoissonArrivals", "DiurnalArrivals",

@@ -12,6 +12,7 @@ import math
 import pytest
 
 from repro.core import PiCloud, PiCloudConfig
+from repro.core.config import SimBudgetConfig
 from repro.core.experiments import run_phase
 from repro.errors import DeadlineExceeded, PiCloudError, SimBudgetExceeded
 from repro.sim.budget import BudgetSnapshot, RunBudget
@@ -47,11 +48,13 @@ class TestRunBudgetValidation:
 
     def test_config_validates_budget_knobs(self):
         with pytest.raises(PiCloudError):
-            PiCloudConfig.small(max_events=0)
+            PiCloudConfig.small(budget=SimBudgetConfig(max_events=0))
         with pytest.raises(PiCloudError):
             PiCloudConfig.small(op_attempts=0)
         assert PiCloudConfig.small().run_budget() is None
-        budget = PiCloudConfig.small(max_events=100, max_wall_s=5.0).run_budget()
+        budget = PiCloudConfig.small(
+            budget=SimBudgetConfig(max_events=100, max_wall_s=5.0),
+        ).run_budget()
         assert budget.max_events == 100
         assert budget.max_wall_s == 5.0
 
@@ -161,7 +164,7 @@ class TestBudgetTelemetry:
     def test_cloud_wires_budget_telemetry(self):
         cloud = PiCloud(PiCloudConfig.small(
             racks=1, pis=2, start_monitoring=False, routing="shortest",
-            max_events=100_000,
+            budget=SimBudgetConfig(max_events=100_000),
         ))
         cloud.boot()
         cloud.run_for(10.0)
@@ -298,7 +301,7 @@ class TestFabricResidueRegression:
     def test_tiny_transfer_terminates_under_budget(self):
         cloud = PiCloud(PiCloudConfig.small(
             racks=2, pis=2, start_monitoring=False, routing="shortest",
-            max_events=500_000, max_wall_s=30.0,
+            budget=SimBudgetConfig(max_events=500_000, max_wall_s=30.0),
         ))
         cloud.boot()
         cloud.run_for(3600.0)

@@ -505,70 +505,16 @@ class TestPartitionChaosScenario:
         assert "partition_chaos" in registered_scenarios()
 
 
-class TestRunWeight:
-    """Sharded runs fork their own kernels; the runner budgets for it."""
+class TestWorkerConcurrency:
+    """``workers`` is the number of runs in flight at once.
 
-    def _run(self, params):
-        from repro.campaign.spec import RunSpec
+    Each probe run records the marker files of the other runs it sees
+    alive while it sleeps."""
 
-        return RunSpec(campaign="c", scenario="s", index=0, cell={},
-                       params=params, seed=0)
-
-    def test_plain_run_weighs_one(self):
-        from repro.campaign.runner import run_weight
-
-        assert run_weight(self._run({})) == 1
-        assert run_weight(self._run({"shards": 1})) == 1
-        assert run_weight(self._run({"shards": "bogus"})) == 1
-
-    def test_sharded_run_weighs_shards_plus_control(self):
-        from repro.campaign.runner import run_weight
-
-        assert run_weight(self._run({"shards": 4})) == 5
-        assert run_weight(self._run({"shards": 2, "nodes": 224})) == 3
-
-    def test_inline_sharded_run_weighs_one(self):
-        from repro.campaign.runner import run_weight
-
-        assert run_weight(self._run({"shards": 4, "processes": False})) == 1
-
-    def test_fan_out_capped_by_shard_weight(self, tmp_path):
-        """workers=3 and weight-3 runs: at most one run in flight.
-
-        Each t-mark run records the set of concurrently-running marker
-        files it sees; with weighted admission no run may ever observe
-        another one alive."""
-        overlap_dir = tmp_path / "overlap"
-        overlap_dir.mkdir()
-
-        @register_scenario("t-mark")
+    @staticmethod
+    def _probe(overlap_dir, name):
+        @register_scenario(name)
         def _mark(ctx):
-            me = overlap_dir / f"run-{ctx.seed}"
-            me.write_text("alive")
-            time.sleep(0.3)
-            others = [p.name for p in overlap_dir.iterdir()
-                      if p.name != me.name]
-            me.unlink()
-            return {"others_seen": others}
-
-        spec = _spec(
-            scenario="t-mark", grid={}, seeds=[1, 2, 3],
-            workers=3, params={"shards": 2},        # weight 3 each
-        )
-        result = CampaignRunner(
-            spec, tmp_path / "out", verbose=False).run()
-        assert result.ok
-        for record in result.records:
-            assert record.metrics["others_seen"] == []
-
-    def test_unweighted_runs_still_overlap(self, tmp_path):
-        """Sanity check of the probe: without shard weights, workers=3
-        runs the same three runs concurrently."""
-        overlap_dir = tmp_path / "overlap"
-        overlap_dir.mkdir()
-
-        @register_scenario("t-mark2")
-        def _mark2(ctx):
             me = overlap_dir / f"run-{ctx.seed}"
             me.write_text("alive")
             time.sleep(0.5)
@@ -577,17 +523,25 @@ class TestRunWeight:
             me.unlink()
             return {"others_seen": others}
 
-        spec = _spec(scenario="t-mark2", grid={}, seeds=[1, 2, 3],
+    def test_one_worker_runs_strictly_in_sequence(self, tmp_path):
+        overlap_dir = tmp_path / "overlap"
+        overlap_dir.mkdir()
+        self._probe(overlap_dir, "t-mark-serial")
+        spec = _spec(scenario="t-mark-serial", grid={}, seeds=[1, 2, 3],
+                     workers=1)
+        result = CampaignRunner(
+            spec, tmp_path / "out", verbose=False).run()
+        assert result.ok and len(result.records) == 3
+        for record in result.records:
+            assert record.metrics["others_seen"] == []
+
+    def test_three_workers_overlap_runs(self, tmp_path):
+        overlap_dir = tmp_path / "overlap"
+        overlap_dir.mkdir()
+        self._probe(overlap_dir, "t-mark-parallel")
+        spec = _spec(scenario="t-mark-parallel", grid={}, seeds=[1, 2, 3],
                      workers=3)
         result = CampaignRunner(
             spec, tmp_path / "out", verbose=False).run()
         assert result.ok
         assert any(r.metrics["others_seen"] for r in result.records)
-
-    def test_overweight_run_still_launches_alone(self, tmp_path):
-        """A run heavier than the whole budget must not deadlock."""
-        spec = _spec(scenario="t-echo", grid={}, seeds=[1],
-                     workers=2, params={"shards": 16})   # weight 17 > 2
-        result = CampaignRunner(
-            spec, tmp_path / "out", verbose=False).run()
-        assert result.ok and len(result.records) == 1

@@ -94,7 +94,7 @@ class TestCommands:
 
 
 class TestScaleCommand:
-    """The ``scale`` benchmark command, sharded and not."""
+    """The ``scale`` benchmark command."""
 
     @pytest.fixture(autouse=True)
     def _short_workload(self, monkeypatch):
@@ -110,50 +110,20 @@ class TestScaleCommand:
         assert main(["scale", "--nodes", "57"]) == 2
         assert "unknown scale" in capsys.readouterr().err
 
-    def test_unsharded_scale_runs(self, capsys):
+    def test_scale_runs(self, capsys):
         assert main(["scale", "--nodes", "56", "--pairs", "2"]) == 0
         out = capsys.readouterr().out
         assert "events" in out and "wall_s" in out
 
-    def test_sharded_scale_runs(self, capsys):
-        assert main(["scale", "--nodes", "56", "--shards", "2",
-                     "--pairs", "2", "--inline"]) == 0
-        out = capsys.readouterr().out
-        assert "rounds" in out and "shards" in out
-
-    def test_profile_merges_shard_worker_stats(self, tmp_path, capsys):
-        """Regression: --profile on a sharded run must include the forked
-        workers' frames, not just the parent coordinator's.  Worker
-        processes profile themselves and the dumps are merged into one
-        pstats file."""
+    def test_profile_writes_fabric_frames(self, tmp_path, capsys):
+        """--profile writes one plain pstats dump of the whole run."""
         import pstats
 
-        out_path = tmp_path / "merged.pstats"
-        assert main(["scale", "--nodes", "56", "--shards", "2",
-                     "--pairs", "2", "--profile", str(out_path)]) == 0
-        err = capsys.readouterr().err
-        assert "shard workers merged" in err
+        out_path = tmp_path / "scale.pstats"
+        assert main(["scale", "--nodes", "56", "--pairs", "2",
+                     "--profile", str(out_path)]) == 0
+        assert str(out_path) in capsys.readouterr().err
         stats = pstats.Stats(str(out_path))
-        names = {
-            f"{filename.rsplit('/', 1)[-1]}:{func}"
-            for (filename, _, func) in stats.stats
-        }
-        # Worker-side: the per-window kernel driver runs only in workers.
-        assert any(n.startswith("shard.py:window") for n in names), names
-        # Parent-side: the coordinator's round loop.
-        assert any(n.startswith("shard.py:run") for n in names)
-        # No stray parent-dump tempfile left behind.
-        assert not (tmp_path / "merged.pstats.parent").exists()
-
-    def test_trace_out_writes_shard_tagged_spans(self, tmp_path, capsys):
-        import json
-
-        trace_path = tmp_path / "trace.jsonl"
-        assert main(["scale", "--nodes", "56", "--shards", "2",
-                     "--pairs", "2", "--inline",
-                     "--trace-out", str(trace_path)]) == 0
-        lines = trace_path.read_text().splitlines()
-        assert lines
-        shards = {json.loads(line)["shard"] for line in lines}
-        assert shards <= {0, 1, 2}
-        assert len(shards) > 1
+        files = {filename.rsplit("/", 1)[-1]
+                 for (filename, _, _) in stats.stats}
+        assert "fabric.py" in files, sorted(files)

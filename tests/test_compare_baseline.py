@@ -78,6 +78,27 @@ class TestCompareMetrics:
             cb.compare_metrics({"a": 1}, {"a": 1}, [], 2.0)
 
 
+class TestFingerprints:
+    """``events``/``flows_started`` must match exactly when both carry them."""
+
+    def test_matching_fingerprints_pass(self):
+        results = cb.compare_fingerprints(
+            {"events": 1000, "flows_started": 40, "wall_s": 4.0},
+            {"events": 1000.0, "flows_started": 40, "wall_s": 9.0})
+        assert [r.key for r in results] == ["events", "flows_started"]
+        assert not any(r.regressed for r in results)
+
+    def test_any_difference_drifts(self):
+        (result,) = cb.compare_fingerprints({"events": 1000},
+                                            {"events": 999})
+        assert result.regressed
+        assert "DRIFTED" in result.describe(224)
+
+    def test_gated_only_when_both_sides_carry_them(self):
+        assert cb.compare_fingerprints({"events": 1000}, {}) == []
+        assert cb.compare_fingerprints({}, {"flows_started": 3}) == []
+
+
 class TestLoadScaleMetrics:
     def test_bench_json(self, tmp_path):
         path = _bench_file(tmp_path, "bench.json", {"224": BASE_224})
@@ -140,6 +161,23 @@ class TestMain:
         argv[3] = str(slow)
         assert cb.main(argv) == 1
         assert "REGRESSED" in capsys.readouterr().out
+
+    def test_main_fails_on_fingerprint_drift(self, tmp_path, capsys):
+        """Fast but behaviourally different still fails the gate."""
+        baseline = _bench_file(tmp_path, "base.json", {"224": BASE_224})
+        same = _bench_file(tmp_path, "same.json", {"224": dict(BASE_224)})
+        argv = ["--baseline", str(baseline), "--current", str(same),
+                "--scale", "224"]
+        assert cb.main(argv) == 0
+        assert "224-node events: baseline 1000, this run 1000" \
+            in capsys.readouterr().out
+
+        drifted = _bench_file(tmp_path, "drift.json",
+                              {"224": dict(BASE_224, events=1001,
+                                           wall_s=1.0)})
+        argv[3] = str(drifted)
+        assert cb.main(argv) == 1
+        assert "DRIFTED" in capsys.readouterr().out
 
     def test_main_missing_scale_is_usage_error(self, tmp_path):
         baseline = _bench_file(tmp_path, "base.json", {"224": BASE_224})
