@@ -61,7 +61,7 @@ from repro.load.sessions import (
     SessionPool,
     partition_regions,
 )
-from repro.load.slo import SloTracker
+from repro.load.slo import SloRollup, SloTracker
 from repro.netsim.topology import TOR
 from repro.sim.process import Timeout
 from repro.telemetry.stats import LatencyHistogram, Summary, format_table
@@ -135,19 +135,14 @@ class LoadReport:
     def fleet_summary(self) -> Summary:
         return self.fleet_histogram().summary()
 
+    def _slo_rollup(self) -> SloRollup:
+        return SloRollup({name: r.slo for name, r in self.services.items()})
+
     def fleet_error_rate(self) -> float:
-        good = sum(r.slo.good for r in self.services.values())
-        bad = sum(r.slo.bad for r in self.services.values())
-        total = good + bad
-        return bad / total if total > 0 else 0.0
+        return self._slo_rollup().fleet_error_rate()
 
     def worst_burn(self) -> Tuple[Optional[str], float]:
-        worst_name, worst = None, 0.0
-        for name in sorted(self.services):
-            burn = self.services[name].slo.burn_rate()
-            if burn > worst:
-                worst_name, worst = name, burn
-        return worst_name, worst
+        return self._slo_rollup().worst_burn()
 
     def metrics(self) -> Dict[str, float]:
         """One flat dict for campaign result stores and dashboards."""

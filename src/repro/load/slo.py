@@ -51,17 +51,54 @@ class SloObjective:
         return 1.0 - self.objective
 
 
+#: Every finite float is an integer multiple of 2**-1074 (the smallest
+#: subnormal), so masses scaled by 2**1074 are exact Python ints.
+_SCALE_BITS = 1074
+_SCALE = 1 << _SCALE_BITS
+
+
+def _exact(x: float) -> int:
+    """``x * 2**1074`` as an exact int."""
+    if not x:
+        return 0
+    numerator, denominator = x.as_integer_ratio()
+    return numerator << (_SCALE_BITS + 1 - denominator.bit_length())
+
+
+class _WindowSum:
+    """One trailing window's exact good/bad sums and peak burn.
+
+    ``start`` indexes the window's oldest sample in the tracker's ring.
+    The sums are ints in units of 2**-1074, so a sample added on record
+    and subtracted on expiry leaves no rounding residue behind.
+    """
+
+    __slots__ = ("span", "start", "good", "bad", "peak")
+
+    def __init__(self, span: float) -> None:
+        self.span = span
+        self.start = 0
+        self.good = 0
+        self.bad = 0
+        self.peak = 0.0
+
+
 class SloTracker:
     """Streaming good/bad accounting against one :class:`SloObjective`.
 
     :meth:`record` takes fluid request masses stamped with simulation
     time; per-window burn rates come from a ring of (time, good, bad)
     samples so the tracker is O(window / epoch) memory regardless of
-    request volume.  Peak burn per window is tracked as it happens --
-    campaigns report it without replaying the timeline.
+    request volume.  Each window keeps a start index into the ring and
+    exact running sums, so a record costs amortised O(windows) however
+    many samples the windows hold.  A window's good and bad masses are
+    the correctly rounded exact sums of its samples (what
+    :func:`math.fsum` gives), online and in ad-hoc queries alike.  Peak
+    burn per window is tracked as it happens -- campaigns report it
+    without replaying the timeline.
     """
 
-    __slots__ = ("objective", "good", "bad", "_samples", "_peak_burn")
+    __slots__ = ("objective", "good", "bad", "_samples", "_windows", "_longest")
 
     def __init__(self, objective: SloObjective) -> None:
         self.objective = objective
@@ -69,7 +106,10 @@ class SloTracker:
         self.bad = 0.0
         # Chronological (t, good, bad) epoch samples for window sums.
         self._samples: List[Tuple[float, float, float]] = []
-        self._peak_burn: Dict[float, float] = {w: 0.0 for w in objective.windows}
+        self._windows: Dict[float, _WindowSum] = {
+            w: _WindowSum(w) for w in objective.windows
+        }
+        self._longest = self._windows[max(objective.windows)]
 
     @property
     def total(self) -> float:
@@ -77,8 +117,8 @@ class SloTracker:
 
     def record(self, t: float, good: float, bad: float) -> None:
         """Account an epoch's request masses at simulation time ``t``."""
-        if good < 0 or bad < 0:
-            raise ValueError("good/bad request masses must be >= 0")
+        if not (0.0 <= good < math.inf and 0.0 <= bad < math.inf):
+            raise ValueError("good/bad request masses must be finite and >= 0")
         if good == 0 and bad == 0:
             return
         if self._samples and t < self._samples[-1][0]:
@@ -89,20 +129,35 @@ class SloTracker:
         self.good += good
         self.bad += bad
         self._samples.append((t, good, bad))
-        self._trim(t)
-        for window in self.objective.windows:
-            self._peak_burn[window] = max(
-                self._peak_burn[window], self.burn_rate(window, now=t)
-            )
+        exact_good, exact_bad = _exact(good), _exact(bad)
+        for window in self._windows.values():
+            window.good += exact_good
+            window.bad += exact_bad
+        self._expire(t)
+        for window in self._windows.values():
+            window.peak = max(window.peak, self.burn_rate(window.span, now=t))
 
-    def _trim(self, now: float) -> None:
-        """Drop samples older than the longest window (keeps memory flat)."""
-        horizon = now - max(self.objective.windows)
-        drop = 0
-        while drop < len(self._samples) - 1 and self._samples[drop][0] < horizon:
-            drop += 1
+    def _expire(self, now: float) -> None:
+        """Move every window's start up to ``now``; trim the ring to the longest.
+
+        Each sample enters and leaves each window once, so this is
+        amortised O(windows) per record.
+        """
+        samples = self._samples
+        for window in self._windows.values():
+            horizon = now - window.span
+            start = window.start
+            while samples[start][0] < horizon:
+                _, good, bad = samples[start]
+                window.good -= _exact(good)
+                window.bad -= _exact(bad)
+                start += 1
+            window.start = start
+        drop = self._longest.start
         if drop:
-            del self._samples[:drop]
+            del samples[:drop]
+            for window in self._windows.values():
+                window.start -= drop
 
     def error_rate(self, window_s: Optional[float] = None,
                    now: Optional[float] = None) -> float:
@@ -110,14 +165,18 @@ class SloTracker:
         if window_s is None:
             total = self.total
             return self.bad / total if total > 0 else 0.0
-        if now is None:
-            now = self._samples[-1][0] if self._samples else 0.0
-        good = bad = 0.0
-        for t, g, b in reversed(self._samples):
-            if t < now - window_s:
-                break
-            good += g
-            bad += b
+        samples = self._samples
+        latest = samples[-1][0] if samples else 0.0
+        window = self._windows.get(window_s)
+        if window is not None and (now is None or now == latest):
+            good, bad = window.good / _SCALE, window.bad / _SCALE
+        else:
+            horizon = (latest if now is None else now) - window_s
+            start = len(samples)
+            while start and samples[start - 1][0] >= horizon:
+                start -= 1
+            good = math.fsum(g for _, g, _ in samples[start:])
+            bad = math.fsum(b for _, _, b in samples[start:])
         total = good + bad
         return bad / total if total > 0 else 0.0
 
@@ -129,12 +188,12 @@ class SloTracker:
     def peak_burn_rate(self, window_s: Optional[float] = None) -> float:
         """Highest burn seen over any ``window_s`` window so far."""
         if window_s is None:
-            return max(self._peak_burn.values(), default=0.0)
-        if window_s not in self._peak_burn:
+            return max(w.peak for w in self._windows.values())
+        if window_s not in self._windows:
             raise ValueError(
                 f"window {window_s} not tracked (have {self.objective.windows})"
             )
-        return self._peak_burn[window_s]
+        return self._windows[window_s].peak
 
     @property
     def compliant(self) -> bool:
@@ -156,14 +215,14 @@ class SloTracker:
             )
         self.good += other.good
         self.bad += other.bad
-        merged = sorted(self._samples + other._samples)
-        self._samples = merged
+        self._samples = merged = sorted(self._samples + other._samples)
+        exact_good = sum(_exact(g) for _, g, _ in merged)
+        exact_bad = sum(_exact(b) for _, _, b in merged)
+        for span, window in self._windows.items():
+            window.start, window.good, window.bad = 0, exact_good, exact_bad
+            window.peak = max(window.peak, other._windows[span].peak)
         if merged:
-            self._trim(merged[-1][0])
-        for window in self.objective.windows:
-            self._peak_burn[window] = max(
-                self._peak_burn[window], other._peak_burn[window]
-            )
+            self._expire(merged[-1][0])
         return self
 
     def row(self) -> Dict[str, float]:

@@ -1,6 +1,10 @@
 """SLO objectives, streaming burn-rate trackers, and LoadConfig knobs."""
 
+import math
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ConfigurationError, LoadConfig, SloObjective, SloTracker
 from repro.load.sessions import (
@@ -54,6 +58,13 @@ class TestSloTracker:
         with pytest.raises(ValueError):
             self.make().record(0.0, good=-1.0, bad=0.0)
 
+    @pytest.mark.parametrize("mass", [math.inf, math.nan])
+    def test_non_finite_mass_rejected(self, mass):
+        with pytest.raises(ValueError):
+            self.make().record(0.0, good=mass, bad=0.0)
+        with pytest.raises(ValueError):
+            self.make().record(0.0, good=1.0, bad=mass)
+
     def test_out_of_order_record_rejected(self):
         tracker = self.make()
         tracker.record(10.0, good=1.0, bad=0.0)
@@ -104,6 +115,103 @@ class TestSloTracker:
             "bad_requests", "error_rate", "burn_rate",
             "peak_burn_10s", "peak_burn_60s",
         }
+
+    def test_merge_then_record_matches_one_interleaved_stream(self):
+        """Merging rebuilds every window's start index and exact sums."""
+        a_stream = [(float(t), 30.0, 1.0 if t % 7 == 0 else 0.0)
+                    for t in range(0, 90, 3)]
+        b_stream = [(t + 1.5, 20.0, 0.0) for t, _, _ in a_stream]
+        after = [(90.0 + t, 10.0, 40.0 if 5 <= t <= 20 else 0.0)
+                 for t in range(40)]
+        merged, other, direct = self.make(), self.make(), self.make()
+        for t, good, bad in a_stream:
+            merged.record(t, good=good, bad=bad)
+        for t, good, bad in b_stream:
+            other.record(t, good=good, bad=bad)
+        merged.merge(other)
+        for t, good, bad in sorted(a_stream + b_stream):
+            direct.record(t, good=good, bad=bad)
+        assert merged._samples == direct._samples
+        # Merged peaks are only a lower bound on the interleaved stream's,
+        # so the burst after the merge sets every window's peak; its
+        # windows still reach back over the merged samples.
+        for t, good, bad in after:
+            merged.record(t, good=good, bad=bad)
+            direct.record(t, good=good, bad=bad)
+        assert merged.row() == direct.row()
+        assert merged.peak_burn_rate(10.0) > 0.0
+
+    def test_many_samples_in_one_window_stay_linear(self):
+        """20k records inside one 300 s window: a rescan per record is
+        ~10^8 sample visits and would blow far past this bound."""
+        tracker = self.make(windows=(10.0, 60.0, 300.0))
+        started = time.perf_counter()
+        for i in range(20_000):
+            tracker.record(i * 0.01, good=1.0, bad=0.001)
+        elapsed = time.perf_counter() - started
+        assert len(tracker._samples) == 20_000
+        assert tracker.peak_burn_rate(300.0) > 0.0
+        assert elapsed < 5.0
+
+
+def naive_error_rate(samples, window_s, now):
+    """The historic reversed float scan, kept as an accuracy oracle."""
+    good = bad = 0.0
+    for t, g, b in reversed(samples):
+        if t < now - window_s:
+            break
+        good += g
+        bad += b
+    total = good + bad
+    return bad / total if total > 0 else 0.0
+
+
+def fsum_error_rate(samples, window_s, now):
+    """Brute force over the whole stream with correctly rounded sums."""
+    inside = [(g, b) for t, g, b in samples if t >= now - window_s]
+    good = math.fsum(g for g, _ in inside)
+    bad = math.fsum(b for _, b in inside)
+    total = good + bad
+    return bad / total if total > 0 else 0.0
+
+
+mass_strategy = st.one_of(st.just(0.0), st.floats(1e-3, 1e6))
+stream_strategy = st.lists(
+    st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 120.0)),
+              mass_strategy, mass_strategy),
+    max_size=80,
+)
+WINDOWS = (10.0, 60.0, 300.0)
+
+
+@given(steps=stream_strategy)
+@settings(max_examples=300, deadline=None)
+def test_window_sums_match_fsum_and_naive_oracles(steps):
+    tracker = SloTracker(SloObjective(objective=0.99, windows=WINDOWS))
+    budget = tracker.objective.error_budget
+    stream, peaks = [], {w: 0.0 for w in WINDOWS}
+    t = 0.0
+    for step, good, bad in steps:
+        t += step
+        tracker.record(t, good=good, bad=bad)
+        if good == 0 and bad == 0:
+            continue                                 # ignored, as recorded
+        stream.append((t, good, bad))
+        for w in WINDOWS:
+            expected = fsum_error_rate(stream, w, t)
+            got = tracker.error_rate(w)
+            assert got.hex() == expected.hex()
+            assert math.isclose(got, naive_error_rate(stream, w, t),
+                                rel_tol=1e-12)
+            peaks[w] = max(peaks[w], expected / budget)
+            assert tracker.peak_burn_rate(w).hex() == peaks[w].hex()
+    # Ad-hoc queries at another ``now`` scan the ring with math.fsum.
+    later = t + 1.0
+    for w in WINDOWS:
+        expected = fsum_error_rate(stream, w, later)
+        assert tracker.error_rate(w, now=later).hex() == expected.hex()
+        assert math.isclose(tracker.error_rate(w, now=later),
+                            naive_error_rate(stream, w, later), rel_tol=1e-12)
 
 
 class TestSloRollup:
