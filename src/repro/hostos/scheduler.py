@@ -15,6 +15,7 @@ which shifts network traffic timing, which moves congestion.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, Optional
 
@@ -32,12 +33,12 @@ class Task:
     executes.  Tasks can be cancelled (e.g. their container was stopped).
     """
 
-    _next_id = 0
-
     def __init__(self, scheduler: "FairShareScheduler", cycles: float,
                  cgroup: Optional[CGroup], name: str) -> None:
-        Task._next_id += 1
-        self.task_id = Task._next_id
+        # Numbered per scheduler, so an anonymous task's name (and the
+        # text of its cancellation error) does not depend on how many
+        # tasks the interpreter made before.
+        self.task_id = next(scheduler._task_ids)
         self.scheduler = scheduler
         self.cycles = float(cycles)
         self.remaining = float(cycles)
@@ -84,6 +85,7 @@ class FairShareScheduler:
         # Task objects iterates in id()-hash order, which leaks memory
         # layout into float-sum ordering and event scheduling order.
         self._tasks: Dict[Task, None] = {}
+        self._task_ids = itertools.count(1)
         self.tasks_completed = 0
         self.tasks_cancelled = 0
 

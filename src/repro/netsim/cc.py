@@ -44,7 +44,7 @@ import math
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.errors import RateModelError
-from repro.netsim.fairness import max_min_rates
+from repro.netsim.fairness import max_min_rates, single_flow_rate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.fabric import FlowTransfer, Network
@@ -131,6 +131,16 @@ class MaxMinRateModel(RateModel):
         dirty_dirs: Optional[set],
     ) -> Dict["FlowTransfer", float]:
         network = self.network
+        if not flows:
+            return {}
+        if len(flows) == 1:
+            # Most churn solves cover one flow alone on its path: skip the
+            # component machinery (same arithmetic, see single_flow_rate).
+            flow = flows[0]
+            directions = flow.directions
+            capacities = {direction: direction.capacity for direction in directions}
+            return {flow: single_flow_rate(directions, capacities,
+                                           network._rate_caps.get(flow))}
         flow_paths = {flow: flow.directions for flow in flows}
         capacities: Dict["LinkDirection", float] = {}
         for flow in flows:

@@ -44,7 +44,10 @@ epoch-stepped update loop that re-enters the fabric through
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+from functools import partial
+from operator import attrgetter
 from typing import Dict, Hashable, Iterable, List, Optional
 
 from repro import trace
@@ -54,7 +57,7 @@ from repro.netsim.link import Link, LinkDirection
 from repro.netsim.routing import PathService, ShortestPathRouting, path_links
 from repro.netsim.topology import Topology
 from repro.sim.kernel import Event, Simulator
-from repro.sim.process import Signal, Timeout
+from repro.sim.process import Signal
 from repro.telemetry.series import Counter, TimeSeries
 from repro.trace.span import NULL_SPAN
 
@@ -75,8 +78,6 @@ class FlowTransfer:
     or fails with a :class:`~repro.errors.NetworkError`.
     """
 
-    _next_id = 0
-
     def __init__(
         self,
         network: "Network",
@@ -87,8 +88,10 @@ class FlowTransfer:
         rate_cap: Optional[float],
         tag: str,
     ) -> None:
-        FlowTransfer._next_id += 1
-        self.flow_id = FlowTransfer._next_id
+        # Numbered per network, not per interpreter: an unkeyed flow hashes
+        # onto its ECMP path by this id, so a process-wide counter would
+        # make a run's paths depend on how many flows ran before it.
+        self.flow_id = next(network._flow_ids)
         self.network = network
         self.src = src
         self.dst = dst
@@ -158,8 +161,16 @@ class Network:
         self.incremental = incremental
 
         self._links: Dict[frozenset, Link] = {}
+        # Directed hop (a, b) -> the link direction carrying it: two
+        # entries per link, so bounded by the topology, never by the
+        # number of distinct paths flows take.
+        self._hops: Dict[tuple[str, str], LinkDirection] = {}
         for a, b, spec in topology.edges():
-            self._links[frozenset((a, b))] = Link(sim, a, b, spec.bandwidth, spec.latency)
+            link = Link(sim, a, b, spec.bandwidth, spec.latency)
+            self._links[frozenset((a, b))] = link
+            self._hops[(a, b)] = link.forward
+            self._hops[(b, a)] = link.reverse
+        self._flow_ids = itertools.count(1)
 
         self._active: set[FlowTransfer] = set()
         # Rate caps of active flows, maintained incrementally alongside
@@ -349,19 +360,43 @@ class Network:
             if node not in self.topology.graph:
                 raise NetworkError(f"unknown endpoint {node!r}")
         flow = FlowTransfer(self, src, dst, nbytes, flow_key, rate_cap, tag)
-        flow.span = trace.start_span(
-            self.sim, "net.flow", parent=parent, kind="net",
-            attributes={"src": src, "dst": dst, "bytes": nbytes, "tag": tag},
-        )
-        self.sim.process(self._run_flow(flow), name=f"flow{flow.flow_id}")
+        if self.sim.tracer is not None:
+            flow.span = trace.start_span(
+                self.sim, "net.flow", parent=parent, kind="net",
+                attributes={"src": src, "dst": dst, "bytes": nbytes, "tag": tag},
+            )
+        self.sim.schedule(0.0, self._start_flow, flow)
         return flow
 
-    def _run_flow(self, flow: FlowTransfer):
+    # Flow setup is a chain of kernel callbacks: _start_flow asks for the
+    # route, _on_route checks it and schedules the propagation delay,
+    # _establish activates the flow.  An already-resolved route still
+    # wakes _on_route through one zero-delay event (add_done_callback);
+    # run fingerprints depend on that event order.
+
+    def _start_flow(self, flow: FlowTransfer) -> None:
         try:
-            path = yield self.path_service.resolve(flow.src, flow.dst, flow.flow_key)
-        except NoRouteError as exc:
+            route = self.path_service.resolve(flow.src, flow.dst, flow.flow_key)
+        except NetworkError as exc:
             self._fail_flow(flow, exc)
             return
+        route.add_done_callback(partial(self._on_route, flow))
+
+    def _on_route(self, flow: FlowTransfer, route: Signal) -> None:
+        """The route resolved: fail the flow or start propagation.
+
+        A route that failed with a :class:`~repro.errors.NetworkError`
+        fails the flow; any other exception is a bug in the path service
+        and propagates to whoever triggered the route signal (out of
+        :meth:`Simulator.run` when a kernel event did).
+        """
+        exc = route.exception
+        if exc is not None:
+            if not isinstance(exc, NetworkError):
+                raise exc
+            self._fail_flow(flow, exc)
+            return
+        path = route.value
         if self._partition is not None and self._partition_blocks(path):
             self._fail_flow(flow, NoRouteError(
                 f"network partition blocks {flow.src}->{flow.dst}"
@@ -377,12 +412,16 @@ class Network:
         # Propagation: the first byte takes the path's total latency.
         total_latency = sum(d.latency for d in directions)
         if total_latency > 0:
-            yield Timeout(self.sim, total_latency)
+            self.sim.schedule(total_latency, self._establish, flow)
+        else:
+            self._establish(flow)
+
+    def _establish(self, flow: FlowTransfer) -> None:
         if flow.state is not FlowState.PENDING:
             return  # failed while propagating
         # A link may have died -- or a partition landed -- during the
         # propagation window.
-        dead = [d for d in directions if not d.link.up]
+        dead = [d for d in flow.directions if not d.link.up]
         if dead:
             self._fail_flow(flow, NoRouteError(
                 f"link {dead[0].link.a}<->{dead[0].link.b} failed "
@@ -397,12 +436,15 @@ class Network:
         self._activate(flow)
 
     def _directions_for(self, path: List[str]) -> List[LinkDirection]:
+        hops = self._hops
         directions = []
         for a, b in path_links(path):
-            link = self.link(a, b)
-            if not link.up:
+            direction = hops.get((a, b))
+            if direction is None:
+                raise NetworkError(f"no link between {a!r} and {b!r}")
+            if not direction.link.up:
                 raise NoRouteError(f"path uses failed link {a}<->{b}")
-            directions.append(link.direction(a, b))
+            directions.append(direction)
         return directions
 
     def _activate(self, flow: FlowTransfer) -> None:
@@ -608,10 +650,11 @@ class Network:
         ``dirty_dirs=None`` refreshes every direction (full solve)."""
         loads: Dict[LinkDirection, float] = {}
         for flow in flows:
-            if not math.isfinite(flow.rate):
+            rate = flow.rate
+            if not math.isfinite(rate):
                 continue
             for direction in flow.directions:
-                loads[direction] = loads.get(direction, 0.0) + flow.rate
+                loads[direction] = loads.get(direction, 0.0) + rate
         if dirty_dirs is None:
             for link in self._links.values():
                 for direction in (link.forward, link.reverse):
@@ -619,7 +662,7 @@ class Network:
                         loads.get(direction, 0.0), self.congestion_threshold
                     )
         else:
-            for direction in sorted(dirty_dirs, key=lambda d: d.name):
+            for direction in sorted(dirty_dirs, key=attrgetter("name")):
                 direction.set_load(
                     loads.get(direction, 0.0), self.congestion_threshold
                 )

@@ -26,7 +26,7 @@ same instance always performs the same arithmetic in the same order.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -91,6 +91,36 @@ def connected_components(
         groups.setdefault(find(idx), []).append(flow)
     # Roots are visited in first-flow order because dict preserves insertion.
     return list(groups.values())
+
+
+def single_flow_rate(
+    path: Sequence[ResourceId],
+    capacities: Mapping[ResourceId, float],
+    cap: Optional[float],
+) -> float:
+    """The max-min rate of a flow alone in its component, in closed form.
+
+    Bit-identical to :func:`_fill_component` over the one flow: its
+    first round raises the flow by the smallest of each resource's
+    capacity over the flow's crossings of it and the cap -- the same
+    divisions and ``min`` calls in the same order -- and then freezes it,
+    whether a resource saturated, the cap was reached, or neither (the
+    numerical-safety freeze).  A cap at or below ``_EPSILON`` never joins
+    the fill, so the rate stays 0.
+    """
+    if cap is not None and not cap > _EPSILON:
+        return 0.0
+    crossing: Dict[ResourceId, int] = {}
+    for res in path:
+        crossing[res] = crossing.get(res, 0) + 1
+    increment = math.inf
+    for res, count in crossing.items():
+        increment = min(increment, float(capacities[res]) / count)
+    if cap is not None:
+        increment = min(increment, cap - 0.0)  # the fill's cap - rate, rate 0.0
+    if not math.isfinite(increment):
+        return math.inf
+    return 0.0 + max(increment, 0.0)  # the fill's rate += increment
 
 
 def _fill_component(

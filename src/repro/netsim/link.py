@@ -153,6 +153,8 @@ class LinkDirection:
         self.link = link
         self.src = src
         self.dst = dst
+        # Fixed for the direction's life; the solver sorts by it per solve.
+        self.name = f"{src}->{dst}"
         self.flows: Set["FlowTransfer"] = set()
         # Last load applied via set_load; solves touching a direction
         # whose aggregate rate did not actually move skip the telemetry
@@ -172,10 +174,6 @@ class LinkDirection:
         self._congestion_span = None
 
     @property
-    def name(self) -> str:
-        return f"{self.src}->{self.dst}"
-
-    @property
     def capacity(self) -> float:
         return self.link.bandwidth * self.link.bandwidth_frac
 
@@ -191,12 +189,12 @@ class LinkDirection:
             # identical to the last call, which already settled them.
             return
         self._last_load = bytes_per_s
-        fraction = bytes_per_s / self.capacity if self.capacity > 0 else 0.0
+        capacity = self.capacity
+        fraction = bytes_per_s / capacity if capacity > 0 else 0.0
         self.utilization.set(fraction)
-        now = self.sim.now
         if fraction >= congestion_threshold:
             if self._congested_since is None:
-                self._congested_since = now
+                self._congested_since = self.sim.now
                 self.congestion_episodes += 1
                 self._congestion_span = trace.start_span(
                     self.sim, f"congestion:{self.name}", kind="net",
@@ -205,7 +203,7 @@ class LinkDirection:
                 )
         else:
             if self._congested_since is not None:
-                self.congested_seconds += now - self._congested_since
+                self.congested_seconds += self.sim.now - self._congested_since
                 self._congested_since = None
                 if self._congestion_span is not None:
                     self._congestion_span.end("ok")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.errors import SimBudgetExceeded, SimulationError
@@ -19,6 +20,8 @@ from repro.sim.budget import DEFAULT_TRACE_LENGTH, BudgetSnapshot, RunBudget
 
 def _callback_label(callback: Callable[..., None]) -> str:
     """Stable human-readable name for a scheduled callback."""
+    if isinstance(callback, partial):
+        callback = callback.func
     label = getattr(callback, "__qualname__", None)
     if label is None:
         label = getattr(type(callback), "__qualname__", repr(callback))

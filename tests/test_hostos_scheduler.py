@@ -227,6 +227,14 @@ class TestCancellation:
         task.cancel()
         assert task.done.ok
 
+    def test_cancel_error_names_task_per_scheduler(self, sim, cpu):
+        # Anonymous tasks are numbered per scheduler, so the error text
+        # does not depend on how many tasks the interpreter made before.
+        for _ in range(2):
+            task = FairShareScheduler(sim, cpu, owner="pi-x").submit(1000.0)
+            task.cancel()
+            assert str(task.done.exception) == "task task1 cancelled"
+
 
 class TestSchedulerReporting:
     def test_load_by_cgroup(self, sim, sched, memory):

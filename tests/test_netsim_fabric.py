@@ -1,12 +1,19 @@
 """Integration tests for the flow-level fabric (repro.netsim.fabric)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.errors import NetworkError, NoRouteError
+from repro.campaign.scenarios import measure_scale
+from repro.errors import ConnectionResetError, NetworkError, NoRouteError
 from repro.netsim import EcmpRouting, Network, ShortestPathRouting
 from repro.netsim.fabric import FlowState
 from repro.netsim.topology import multi_root_tree, rack_host_names, single_switch
 from repro.sim import Simulator
+from repro.sim.process import Signal
+
+BENCH_PERF = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 
 @pytest.fixture
@@ -280,3 +287,119 @@ class TestCongestionReport:
         assert net.flows_started.total == 2
         assert net.flows_completed.total == 2
         assert len(net.flow_durations) == 2
+
+
+class _StubRoutes:
+    """Path service whose route signal the test triggers by hand."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.pending = []
+
+    def resolve(self, src, dst, flow_key):
+        route = Signal(self.sim, name=f"route {src}->{dst}")
+        self.pending.append(route)
+        return route
+
+    def invalidate(self):
+        pass
+
+
+class _RaisingRoutes(_StubRoutes):
+    def resolve(self, src, dst, flow_key):
+        raise NetworkError(f"path service down for {src}->{dst}")
+
+
+def stub_network(sim, routes_cls=_StubRoutes):
+    topo = single_switch(["a", "b"], bandwidth=100.0, latency=0.0)
+    routes = routes_cls(sim)
+    return Network(sim, topo, path_service=routes), routes
+
+
+class TestRouteResolution:
+    def test_route_failing_with_network_error_fails_flow(self, sim):
+        net, routes = stub_network(sim)
+        flow = net.transfer("a", "b", 100.0)
+        sim.run(until=1.0)
+        error = NetworkError("controller unreachable")
+        sim.schedule(1.0, routes.pending[0].fail, error)
+        sim.run(until=100.0)
+        assert flow.state is FlowState.FAILED
+        assert flow.done.triggered
+        assert flow.done.exception is error
+        assert net.flows_failed.total == 1
+        assert net.active_flow_count == 0
+
+    def test_route_already_failed_fails_flow(self, sim):
+        class FailedRoutes(_StubRoutes):
+            def resolve(self, src, dst, flow_key):
+                return super().resolve(src, dst, flow_key).fail(
+                    ConnectionResetError("route lookup reset"))
+
+        net, _ = stub_network(sim, FailedRoutes)
+        flow = net.transfer("a", "b", 100.0)
+        sim.run(until=100.0)
+        assert flow.state is FlowState.FAILED
+        assert isinstance(flow.done.exception, ConnectionResetError)
+
+    def test_resolve_raising_network_error_fails_flow(self, sim):
+        net, _ = stub_network(sim, _RaisingRoutes)
+        flow = net.transfer("a", "b", 100.0)
+        sim.run(until=100.0)
+        assert flow.state is FlowState.FAILED
+        assert "path service down" in str(flow.done.exception)
+
+    def test_route_failing_with_other_error_propagates(self, sim):
+        net, routes = stub_network(sim)
+        flow = net.transfer("a", "b", 100.0)
+        sim.run(until=1.0)
+        sim.schedule(1.0, routes.pending[0].fail, RuntimeError("path service bug"))
+        with pytest.raises(RuntimeError, match="path service bug"):
+            sim.run(until=100.0)
+        assert flow.state is FlowState.PENDING
+
+
+class TestFlowLifecycleEvents:
+    def test_one_flow_costs_six_kernel_events(self, sim):
+        # Start, resolved-route wake, propagation, the activation solve,
+        # completion and the solve that hands back its capacity.
+        topo = single_switch(["a", "b"], bandwidth=100.0, latency=0.25)
+        net = Network(sim, topo)
+        flow = net.transfer("a", "b", 100.0)
+        sim.run()
+        assert flow.state is FlowState.DONE
+        assert sim.events_executed == 6
+
+    def test_setup_callbacks_are_labelled_in_snapshots(self, sim):
+        topo = single_switch(["a", "b"], bandwidth=100.0, latency=0.25)
+        Network(sim, topo).transfer("a", "b", 100.0)
+        sim.run()
+        labels = [label for _, label in sim.snapshot().recent_events]
+        assert labels[:3] == ["Network._start_flow", "Network._on_route",
+                              "Network._establish"]
+
+    def test_propagating_flow_is_not_a_process(self, sim):
+        topo = single_switch(["a", "b"], bandwidth=100.0, latency=0.25)
+        net = Network(sim, topo)
+        flow = net.transfer("a", "b", 100.0)
+        sim.run(until=0.1)
+        assert flow.state is FlowState.PENDING
+        assert not sim._live_processes
+
+
+class TestFlowIds:
+    def test_ids_are_numbered_per_network(self):
+        first = [star(Simulator()).transfer("h0", "h1", 1.0) for _ in range(2)]
+        net = star(Simulator())
+        again = [net.transfer("h0", "h1", 1.0) for _ in range(3)]
+        assert [f.flow_id for f in first] == [1, 1]
+        assert [f.flow_id for f in again] == [1, 2, 3]
+
+    def test_measure_scale_counts_do_not_depend_on_earlier_runs(self):
+        # Unkeyed flows (live-migration rounds) hash onto ECMP paths by
+        # flow id, so a process-wide counter made a second run differ.
+        keys = ("events", "flows_started", "recomputes", "flows_solved")
+        baseline = json.loads(BENCH_PERF.read_text())["scales"]["56"]
+        runs = [measure_scale(56) for _ in range(2)]
+        counts = [{key: run[key] for key in keys} for run in runs]
+        assert counts[0] == counts[1] == {key: baseline[key] for key in keys}
